@@ -15,20 +15,20 @@
 //!
 //! The layers, bottom up:
 //!
-//! * [`queue`] — the bounded MPMC queues, plain and sharded
-//!   (backpressure + clean shutdown);
+//! * [`queue`] — the bounded MPMC queue (backpressure + clean shutdown);
 //! * [`protocol`] — the newline-delimited text wire format;
 //! * [`binary`] — wire protocol v2: length-prefixed frames whose operands
 //!   are raw little-endian limbs, negotiated per connection via a `HELLO`
 //!   line ([`Client::connect_binary`]) — the zero-copy ingress path;
 //! * [`service`] — the transport-independent core: validation and
 //!   routing, then per-`(engine, width)` worker lanes, each owning a
-//!   sharded ingress queue, a batching window over
+//!   bounded ingress queue, a batching window over
 //!   [`vlcsa::group::LaneBuilder`] and its own worker pool — a stalling
 //!   engine head-of-line-blocks only its own lane;
-//! * [`session`] — transport-independent request dispatch over sink
-//!   traits, shared by the TCP server and socket-free embedders (the
-//!   `vlcsa-ffi` C ABI);
+//! * [`session`] — the byte-stream protocol state machine
+//!   ([`ByteSession`]) every connection runs, and request dispatch over
+//!   sink traits, shared with socket-free embedders (the `vlcsa-ffi` C
+//!   ABI);
 //! * [`server`] / [`client`] — the TCP front-end and the client library.
 //!
 //! Requests may also name the pseudo-engine `auto`: submitters resolve it

@@ -37,15 +37,15 @@
 //! few connections at a time instead of one thread each.
 
 use std::collections::HashMap;
-use std::io::Read;
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use crate::server::{read_step, READ_BUF};
 use crate::service::Service;
-use crate::session::{ByteSession, FeedOutcome};
+use crate::session::ByteSession;
 
 /// The raw `epoll(7)` surface: constants, the event struct, and the four
 /// syscall wrappers, declared directly so the crate stays dependency-free.
@@ -115,8 +115,6 @@ const EVENT_BATCH: usize = 64;
 /// The `epoll_wait` timeout in milliseconds — the bound on how long a
 /// stop request waits for an idle pool thread to notice it.
 const WAIT_MS: i32 = 50;
-/// Read size per readiness event; a whole batch of pipelined frames fits.
-const READ_BUF: usize = 16 * 1024;
 
 /// One registered connection: the read half the epoll instance watches
 /// plus the protocol state machine feeding off it.
@@ -286,35 +284,18 @@ impl Reactor {
         }
     }
 
-    /// Services one readiness event: one read, feed the session, then
-    /// rearm — or deregister on EOF, error, or a poisoned stream.
+    /// Services one readiness event: the server's read step (one read,
+    /// fed to the session), then rearm — or deregister once the
+    /// connection has ended.
     fn service_event(&self, token: u64, conn: &Conn) {
         let mut session = conn.session.lock().expect("reactor session lock");
         let mut buf = [0u8; READ_BUF];
-        let n = match (&conn.stream).read(&mut buf) {
-            Ok(0) => {
-                drop(session);
-                self.deregister(token);
-                return;
-            }
-            Ok(n) => n,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => 0,
-            Err(_) => {
-                drop(session);
-                self.deregister(token);
-                return;
-            }
-        };
-        match session.feed(&buf[..n], &self.service) {
-            FeedOutcome::Continue => {
-                drop(session);
-                self.rearm(token, &conn.stream);
-            }
-            FeedOutcome::Close => {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                drop(session);
-                self.deregister(token);
-            }
+        let open = read_step(&conn.stream, &mut buf, &mut session, &self.service);
+        drop(session);
+        if open {
+            self.rearm(token, &conn.stream);
+        } else {
+            self.deregister(token);
         }
     }
 

@@ -1,39 +1,36 @@
-//! The TCP front-end: a listener, one reader thread per connection, and
+//! The TCP front-end: a listener, one read loop per connection, and
 //! response writing from the worker threads.
 //!
-//! Each accepted connection gets a reader thread that parses request lines
-//! ([`crate::protocol`]) and submits them to the shared [`Service`]. A
-//! connection whose **first** non-empty line is exactly
-//! [`HELLO_LINE`] upgrades to the binary
-//! framing of [`crate::binary`] instead — the server echoes the line and
-//! both directions speak frames from then on; every other connection is
-//! text forever. The
-//! write half of the socket is wrapped in an `Arc<Mutex<TcpStream>>`; each
-//! `ADD`'s reply callback captures that handle plus the request's sequence
-//! number, so worker threads write `OK` lines (or `OK` frames) directly to
-//! the right
-//! client whenever their issue group completes — out of submission order
-//! when the batching window split a connection's requests across groups.
-//! Validation and protocol errors are answered inline by the reader as
-//! `ERR` lines; nothing short of a socket error drops a connection.
-//! Because workers write to client sockets directly, a client that stops
-//! reading could otherwise pin a worker on its full send buffer and
-//! head-of-line-block every other connection — so each accepted socket
-//! carries [`Server::WRITE_TIMEOUT`], after which that client's response
-//! is dropped (its connection is already broken) and the worker moves on.
+//! Each accepted connection gets a reader thread that reads into a fixed
+//! 16 KiB buffer and feeds a [`ByteSession`] — the protocol state machine
+//! of [`crate::session`], which splits lines and frames, negotiates the
+//! `HELLO` upgrade to the binary framing of [`crate::binary`], and submits
+//! requests to the shared [`Service`]. The write half of the socket is
+//! wrapped in an `Arc<Mutex<TcpStream>>`; each request's reply callback
+//! captures that handle plus the request's sequence number, so worker
+//! threads write `OK` lines (or `OK` frames) directly to the right client
+//! whenever their issue group completes — out of submission order when
+//! the batching window split a connection's requests across groups.
+//! Validation and protocol errors are answered inline by the reader; a
+//! connection stops reading at EOF, on a socket error, or when the session
+//! reports a poisoned stream, and closes once its pending replies are
+//! written. Because workers
+//! write to client sockets directly, a client that stops reading could
+//! otherwise pin a worker on its full send buffer and head-of-line-block
+//! every other connection — so each accepted socket carries
+//! [`Server::WRITE_TIMEOUT`], after which that client's response is
+//! dropped (its connection is already broken) and the worker moves on.
 //!
 //! [`Server::shutdown`] is clean and bounded: stop accepting, shut the
 //! sockets down (unblocking the readers), answer everything already
 //! accepted (worker writes to a shut-down socket are ignored), and join
 //! every thread.
 //!
-//! With the `reactor` cargo feature, the one-reader-thread-per-connection
-//! model is replaced by the [`crate::session::ByteSession`] state machine
-//! driven from an `epoll(7)` reader pool (see the `reactor` module) —
-//! many idle connections, a handful of threads. Everything else — the
-//! service core, the wire protocols, the write path, the shutdown
-//! contract — is identical, and without the feature none of that code is
-//! even compiled.
+//! With the `reactor` cargo feature, the reader threads are replaced by an
+//! `epoll(7)` reader pool (see the `reactor` module) that runs the same
+//! read step, `read_step`, on whichever connection is readable — many
+//! idle connections, a handful of threads. Everything else — the service
+//! core, the session, the write path, the shutdown contract — is shared.
 //!
 //! # Example
 //!
@@ -52,24 +49,19 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::Write;
-#[cfg(not(feature = "reactor"))]
-use std::io::{BufRead, BufReader};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-#[cfg(not(feature = "reactor"))]
-use crate::binary::{self, FrameReadError, HELLO_LINE};
 use crate::protocol::Response;
-#[cfg(not(feature = "reactor"))]
-use crate::protocol::{ErrorCode, RequestError};
 use crate::service::{ServeConfig, Service};
-#[cfg(not(feature = "reactor"))]
-use crate::session;
-use crate::session::{FrameSink, ResponseSink};
+use crate::session::{ByteSession, FeedOutcome, FrameSink, ResponseSink};
+
+/// Bytes taken per `read`: a whole burst of pipelined requests fits.
+pub(crate) const READ_BUF: usize = 16 * 1024;
 
 /// The text sink over a shared socket: writes one response line,
 /// swallowing write errors — a worker answering after the client hung up
@@ -79,15 +71,11 @@ use crate::session::{FrameSink, ResponseSink};
 /// connection's reader.
 impl ResponseSink for Mutex<TcpStream> {
     fn send(&self, response: &Response) {
-        let line = crate::protocol::format_response(response);
-        let mut stream = self.lock().expect("connection write lock");
-        if stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .is_err()
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        // Line and newline in one buffer: one `write_all`, and so one
+        // segment under `TCP_NODELAY`.
+        let mut line = crate::protocol::format_response(response);
+        line.push('\n');
+        self.send_frame(line.as_bytes());
     }
 }
 
@@ -103,101 +91,45 @@ impl FrameSink for Mutex<TcpStream> {
     }
 }
 
-/// One connection's read loop: parse, validate, submit; answer errors
-/// inline. Returns when the client disconnects or the socket is shut down.
-///
-/// Protocol negotiation happens here, once: if the first non-empty line
-/// is exactly [`HELLO_LINE`], the server echoes it and hands the
-/// connection to [`serve_binary`] — that decision point is the only one,
-/// so text responses and frames can never interleave on one socket. A
-/// `HELLO` anywhere later is just an unknown text command
-/// (`ERR 0 bad-request`).
-#[cfg(not(feature = "reactor"))]
-fn serve_connection(stream: TcpStream, service: &Service) {
-    let mut reader = match stream.try_clone() {
-        Ok(read_half) => BufReader::new(read_half),
-        Err(_) => return,
-    };
-    let writer = Arc::new(Mutex::new(stream));
-    let mut first = true;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
+/// One step of a connection's read loop — one `read` into `buf`, fed to
+/// the connection's session. Returns whether the connection lives on: it
+/// ends at EOF (after the session's end-of-stream rule), on a socket
+/// error, or on a poisoned stream, whose read half is shut down here.
+/// Either way the write half stays open until the last pending reply has
+/// been written, so every request accepted before the end is answered.
+pub(crate) fn read_step(
+    stream: &TcpStream,
+    buf: &mut [u8],
+    session: &mut ByteSession<Mutex<TcpStream>>,
+    service: &Service,
+) -> bool {
+    match (&*stream).read(buf) {
+        Ok(0) => {
+            session.finish(service);
+            false
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        if first && line.trim_end_matches(['\r', '\n']) == HELLO_LINE {
-            // The ack is the upgrade line itself, echoed; it is the last
-            // text this connection ever sees. The upgrade exchange counts
-            // as neither protocol's traffic.
-            {
-                let mut stream = writer.lock().expect("connection write lock");
-                if stream
-                    .write_all(HELLO_LINE.as_bytes())
-                    .and_then(|()| stream.write_all(b"\n"))
-                    .is_err()
-                {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
+        Ok(n) => match session.feed(&buf[..n], service) {
+            FeedOutcome::Continue => true,
+            FeedOutcome::Close => {
+                let _ = stream.shutdown(Shutdown::Read);
+                false
             }
-            serve_binary(reader, &writer, service);
-            return;
-        }
-        first = false;
-        service.note_text_request();
-        session::dispatch_text(&line, service, &writer);
+        },
+        Err(e) => e.kind() == std::io::ErrorKind::Interrupted,
     }
 }
 
-/// The binary read loop, entered once per upgraded connection and never
-/// left. This is pure transport: read frames, hand them to
-/// [`session::dispatch_binary`]. Error policy, per frame:
-///
-/// - a clean close at a frame boundary, or a socket error / disconnect
-///   mid-frame: return (nothing to answer a half-frame with);
-/// - an untrustworthy header (unknown version byte, length prefix over
-///   [`binary::MAX_FRAME_BODY`]): answer one `ERR` frame and close — the
-///   stream cannot be resynchronized;
-/// - a malformed **body**: dispatch answers an `ERR` frame and the loop
-///   keeps going — the length prefix already delimited the bad frame, so
-///   later frames on the same connection are unaffected.
+/// One connection's reader thread: [`read_step`] until the connection
+/// ends. The accepted stream is the read half; a clone, shared with every
+/// pending reply, is the write half.
 #[cfg(not(feature = "reactor"))]
-fn serve_binary(
-    mut reader: BufReader<TcpStream>,
-    writer: &Arc<Mutex<TcpStream>>,
-    service: &Service,
-) {
-    // Engine ids are indices into the width-independent name listing —
-    // the same listing (and the same `lookup` error surface) the text
-    // `ENGINES` command exposes.
-    let names = service.registries().at(64).names();
-    loop {
-        let (opcode, body) = match binary::read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return,
-            Err(FrameReadError::Io(_)) => return,
-            Err(poison) => {
-                service.note_binary_request();
-                writer.send_frame(&binary::encode_err(&RequestError {
-                    seq: 0,
-                    code: ErrorCode::BadRequest,
-                    message: poison.to_string(),
-                }));
-                let _ = writer
-                    .lock()
-                    .expect("connection write lock")
-                    .shutdown(Shutdown::Both);
-                return;
-            }
-        };
-        service.note_binary_request();
-        session::dispatch_binary(opcode, &body, &names, service, writer);
-    }
+fn serve_connection(stream: TcpStream, service: &Service) {
+    let Ok(writer) = stream.try_clone() else {
+        return;
+    };
+    let mut session = ByteSession::new(Arc::new(Mutex::new(writer)));
+    let mut buf = vec![0u8; READ_BUF];
+    while read_step(&stream, &mut buf, &mut session, service) {}
 }
 
 /// Hands one accepted connection to the epoll reactor: the original

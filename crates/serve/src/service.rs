@@ -1,5 +1,5 @@
 //! The transport-independent service core: per-`(engine, width)` worker
-//! lanes, each owning a sharded ingress queue, a batching window and its
+//! lanes, each owning a bounded ingress queue, a batching window and its
 //! own worker pool over the sharded executor.
 //!
 //! Requests flow through three stages, the last two private to a lane:
@@ -8,7 +8,7 @@
 //!    callers) validate a request — width in range, operands same width,
 //!    engine resolved against the width's [`Registry`], `auto` resolved to
 //!    a concrete engine by the [`Router`] — and push a job into the
-//!    matching lane's bounded, sharded ingress queue, spinning the lane up
+//!    matching lane's bounded ingress queue, spinning the lane up
 //!    on first use. Validation and routing happen *before* queueing so a
 //!    bad request fails alone, with a structured error, and every queued
 //!    job already knows which lane runs it.
@@ -65,12 +65,7 @@ use vlcsa::program::Program;
 use vlcsa::route::{RouteConfig, Router, AUTO_ENGINE};
 
 use crate::protocol::{EngineStats, LaneStats, StatsReport, OPERAND_RANGE, WIDTH_RANGE};
-use crate::queue::{PopResult, Queue, ShardedQueue};
-
-/// Stripes of every lane's ingress queue — enough that a handful of
-/// connection readers funnelling into one hot lane spread across distinct
-/// locks, small enough that the batcher's sweep stays cheap.
-const INGRESS_SHARDS: usize = 4;
+use crate::queue::{PopResult, Queue};
 
 /// Tuning knobs of the service core. Each knob applies **per lane** (a
 /// lane is one `(engine, width)` pair traffic has spun up): lanes are
@@ -310,7 +305,7 @@ struct QueuedGroup {
 struct Lane {
     engine: String,
     width: usize,
-    ingress: ShardedQueue<Job>,
+    ingress: Queue<Job>,
     /// Lanes pending in the batcher's currently-open window.
     window_lanes: AtomicUsize,
 }
@@ -322,17 +317,6 @@ struct LaneSet {
     lanes: Vec<Arc<Lane>>,
     threads: Vec<JoinHandle<()>>,
     closed: bool,
-}
-
-/// A stable per-thread stripe hint for [`ShardedQueue::push`]: threads
-/// enumerate themselves on first submit, so each connection reader keeps
-/// hitting its own ingress stripe.
-fn shard_hint() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static HINT: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    HINT.with(|h| *h)
 }
 
 /// The running service core — see the module docs for the pipeline shape.
@@ -383,11 +367,21 @@ impl Service {
         router: Arc<Router>,
         registries: Arc<RegistryCache>,
     ) -> Self {
+        // Checked here, not when the first lane spins up: a panic inside
+        // `lane_for` would poison the lane-set lock for every later submit.
+        assert!(
+            config.queue_depth >= 1,
+            "a lane's ingress needs queue_depth >= 1"
+        );
         assert!(
             config.max_lanes >= 1,
             "a batching window needs max_lanes >= 1"
         );
         assert!(config.workers >= 1, "a lane needs at least one worker");
+        assert!(
+            config.exec_threads >= 1,
+            "an executor needs exec_threads >= 1"
+        );
         Self {
             lanes: Mutex::new(LaneSet {
                 lanes: Vec::new(),
@@ -419,7 +413,7 @@ impl Service {
         let lane = Arc::new(Lane {
             engine: engine.to_string(),
             width,
-            ingress: ShardedQueue::new(self.config.queue_depth, INGRESS_SHARDS),
+            ingress: Queue::new(self.config.queue_depth),
             window_lanes: AtomicUsize::new(0),
         });
         // Group-queue depth: enough that the batcher never blocks on a
@@ -622,9 +616,7 @@ impl Service {
     /// the lane up on first use.
     fn enqueue(&self, engine: String, width: usize, job: Job) -> Result<(), SubmitError> {
         let lane = self.lane_for(&engine, width)?;
-        lane.ingress
-            .push(shard_hint(), job)
-            .map_err(|_| SubmitError::Stopped)
+        lane.ingress.push(job).map_err(|_| SubmitError::Stopped)
     }
 
     /// Validates and queues one addition; `reply` fires from a worker once
@@ -845,6 +837,24 @@ mod tests {
             max_wait: Duration::from_millis(1),
             ..ServeConfig::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "queue_depth >= 1")]
+    fn start_rejects_zero_queue_depth() {
+        let _ = Service::start(ServeConfig {
+            queue_depth: 0,
+            ..ServeConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "exec_threads >= 1")]
+    fn start_rejects_zero_exec_threads() {
+        let _ = Service::start(ServeConfig {
+            exec_threads: 0,
+            ..ServeConfig::default()
+        });
     }
 
     #[test]

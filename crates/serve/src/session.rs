@@ -1,10 +1,13 @@
-//! Transport-independent request dispatch: the per-request surface of
-//! both wire protocols, factored out of the TCP front-end.
+//! Transport-independent protocol handling: the byte-stream state machine
+//! and the per-request surface of both wire protocols.
 //!
-//! [`server`](crate::server) owns sockets, threads, and framing; this
-//! module owns what happens *between* a decoded request and the
-//! [`Service`] — validation-error mapping, submit calls, and reply
-//! routing. Responses leave through a caller-supplied sink:
+//! [`server`](crate::server) owns sockets and threads; this module owns
+//! everything between received bytes and the [`Service`]. [`ByteSession`]
+//! splits a connection's bytes into lines and frames, negotiates the
+//! `HELLO` upgrade and applies the poison, UTF-8 and end-of-stream rules;
+//! [`dispatch_text`] and [`dispatch_binary`] map one decoded request onto
+//! validation errors, submit calls and reply routing. Responses leave
+//! through a caller-supplied sink:
 //!
 //! * [`ResponseSink`] receives parsed [`Response`] values (the text
 //!   protocol's unit of output);
@@ -305,36 +308,39 @@ pub enum FeedOutcome {
     Continue,
     /// The stream is finished — poisoned framing or an undecodable line.
     /// Any answerable error was already answered through the sink; the
-    /// caller should shut the connection down.
+    /// caller should stop reading and close the connection once replies
+    /// already in flight have been written.
     Close,
 }
 
-/// The event-driven twin of the server's blocking read loops: an
-/// incremental byte-stream session for transports that deliver bytes in
-/// arbitrary slices (the `reactor` feature's epoll reader pool) instead
-/// of owning a blocking per-connection read loop.
-///
-/// Semantics match `serve_connection` / `serve_binary` in
-/// [`server`](crate::server) exactly:
+/// The one protocol driver of a byte-stream connection: an incremental
+/// session that accepts bytes in arbitrary slices, so every transport —
+/// the thread-per-connection server, the `reactor` feature's epoll reader
+/// pool, in-memory benches — shares one state machine.
 ///
 /// * text lines are dispatched as they complete; blank lines are ignored
 ///   and do not burn the upgrade opportunity;
 /// * a **first** non-empty line equal to [`HELLO_LINE`] upgrades the
 ///   session to binary framing — the ack (the upgrade line echoed) leaves
 ///   through [`FrameSink`] as raw bytes, the last non-frame output the
-///   connection ever sees;
-/// * framed mode consumes length-delimited frames; an untrustworthy
-///   header (unknown version byte, lying length prefix) answers one `ERR`
-///   frame and reports [`FeedOutcome::Close`];
-/// * a line that is not valid UTF-8 closes the stream, as the blocking
-///   reader's `read_line` error path does.
+///   connection ever sees; a `HELLO` anywhere later is just an unknown
+///   text command;
+/// * framed mode consumes length-delimited frames; a malformed **body** is
+///   answered with an `ERR` frame and the stream continues, while an
+///   untrustworthy header (unknown version byte, lying length prefix)
+///   answers one `ERR` frame and reports [`FeedOutcome::Close`] — the
+///   stream cannot be resynchronized;
+/// * a line that is not valid UTF-8 reports [`FeedOutcome::Close`]
+///   unanswered;
+/// * at end of stream ([`ByteSession::finish`]) a pending text line that
+///   lacks its `\n` is dispatched; a partial frame is dropped.
 ///
 /// One instance is one connection's state; callers serialize `feed` per
-/// connection (the reactor holds a per-connection lock). Replies to
-/// batched submissions arrive later, from worker threads, through the
-/// same sink — identical to the blocking front-end.
+/// connection. Replies to batched submissions arrive later, from worker
+/// threads, through the same sink.
 pub struct ByteSession<S> {
     sink: Arc<S>,
+    /// Received bytes not yet part of a complete line or frame.
     buf: Vec<u8>,
     mode: SessionMode,
     first: bool,
@@ -360,42 +366,56 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
     /// dispatches every request they complete. Incomplete trailing input
     /// is buffered for the next call.
     pub fn feed(&mut self, bytes: &[u8], service: &Service) -> FeedOutcome {
-        self.buf.extend_from_slice(bytes);
+        let mut buf = std::mem::take(&mut self.buf);
+        // The kept tail was already searched for a line end, so a long
+        // line arriving in many reads is scanned once, not once per read.
+        let searched = buf.len();
+        buf.extend_from_slice(bytes);
+        let (used, outcome) = self.consume(&buf, searched, service);
+        // Complete requests are walked by offset; the unconsumed tail
+        // moves to the front once per call, not once per request.
+        buf.drain(..used);
+        self.buf = buf;
+        outcome
+    }
+
+    /// Ends the stream: the transport saw EOF. A text line still pending
+    /// without its `\n` is dispatched as if terminated, so a client that
+    /// writes its last request and half-closes is answered; a partial
+    /// binary frame has nothing to answer with and is dropped.
+    pub fn finish(&mut self, service: &Service) {
+        let rest = std::mem::take(&mut self.buf);
+        if matches!(self.mode, SessionMode::Text) && !rest.is_empty() {
+            self.text_line(&rest, service);
+        }
+    }
+
+    /// Dispatches every complete request at the front of `data`, whose
+    /// first `searched` bytes hold no line end; returns how many bytes the
+    /// requests spanned and whether the stream lives on.
+    fn consume(&mut self, data: &[u8], searched: usize, service: &Service) -> (usize, FeedOutcome) {
+        let mut used = 0;
         loop {
+            let rest = &data[used..];
             match &self.mode {
                 SessionMode::Text => {
-                    let Some(nl) = self.buf.iter().position(|&b| b == b'\n') else {
-                        return FeedOutcome::Continue;
+                    let from = searched.saturating_sub(used);
+                    let Some(nl) = rest[from..].iter().position(|&b| b == b'\n') else {
+                        return (used, FeedOutcome::Continue);
                     };
-                    let line: Vec<u8> = self.buf.drain(..=nl).collect();
-                    let Ok(line) = std::str::from_utf8(&line) else {
-                        return FeedOutcome::Close;
-                    };
-                    if line.trim().is_empty() {
-                        continue;
+                    let line = &rest[..=from + nl];
+                    used += line.len();
+                    if self.text_line(line, service) == FeedOutcome::Close {
+                        return (used, FeedOutcome::Close);
                     }
-                    if self.first && line.trim_end_matches(['\r', '\n']) == HELLO_LINE {
-                        // The ack is the upgrade line itself; it rides the
-                        // frame sink because it is raw bytes, not a
-                        // `Response`. The exchange counts as neither
-                        // protocol's traffic, as in the blocking loop.
-                        self.sink.send_frame(format!("{HELLO_LINE}\n").as_bytes());
-                        self.mode = SessionMode::Binary {
-                            names: service.registries().at(64).names(),
-                        };
-                        continue;
-                    }
-                    self.first = false;
-                    service.note_text_request();
-                    dispatch_text(line, service, &self.sink);
                 }
                 SessionMode::Binary { names } => {
-                    if self.buf.len() < HEADER_LEN {
-                        return FeedOutcome::Continue;
+                    if rest.len() < HEADER_LEN {
+                        return (used, FeedOutcome::Continue);
                     }
-                    let version = self.buf[0];
-                    let len = u32::from_le_bytes(self.buf[2..6].try_into().expect("4 header bytes"))
-                        as usize;
+                    let version = rest[0];
+                    let len =
+                        u32::from_le_bytes(rest[2..6].try_into().expect("4 header bytes")) as usize;
                     let poison = if version != PROTOCOL_VERSION {
                         Some(FrameReadError::BadVersion(version))
                     } else if len > MAX_FRAME_BODY {
@@ -410,17 +430,42 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
                             code: ErrorCode::BadRequest,
                             message: poison.to_string(),
                         }));
-                        return FeedOutcome::Close;
+                        return (used, FeedOutcome::Close);
                     }
-                    if self.buf.len() < HEADER_LEN + len {
-                        return FeedOutcome::Continue;
-                    }
-                    let frame: Vec<u8> = self.buf.drain(..HEADER_LEN + len).collect();
+                    let Some(frame) = rest.get(..HEADER_LEN + len) else {
+                        return (used, FeedOutcome::Continue);
+                    };
+                    used += frame.len();
                     service.note_binary_request();
                     dispatch_binary(frame[1], &frame[HEADER_LEN..], names, service, &self.sink);
                 }
             }
         }
+    }
+
+    /// Handles one text line (with or without its line ending): skip it if
+    /// blank, upgrade on a first `HELLO`, dispatch it otherwise.
+    fn text_line(&mut self, line: &[u8], service: &Service) -> FeedOutcome {
+        let Ok(line) = std::str::from_utf8(line) else {
+            return FeedOutcome::Close;
+        };
+        if line.trim().is_empty() {
+            return FeedOutcome::Continue;
+        }
+        if self.first && line.trim_end_matches(['\r', '\n']) == HELLO_LINE {
+            // The ack is the upgrade line itself; it rides the frame sink
+            // because it is raw bytes, not a `Response`. The exchange
+            // counts as neither protocol's traffic.
+            self.sink.send_frame(format!("{HELLO_LINE}\n").as_bytes());
+            self.mode = SessionMode::Binary {
+                names: service.registries().at(64).names(),
+            };
+            return FeedOutcome::Continue;
+        }
+        self.first = false;
+        service.note_text_request();
+        dispatch_text(line, service, &self.sink);
+        FeedOutcome::Continue
     }
 }
 
@@ -628,6 +673,42 @@ mod tests {
             "the upgrade is neither protocol's traffic"
         );
         assert_eq!(report.proto_bin, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn byte_session_finish_completes_a_text_line_and_drops_a_partial_frame() {
+        let service = Service::start(ServeConfig {
+            max_wait: Duration::from_micros(200),
+            ..ServeConfig::default()
+        });
+        // Several requests and a partial one in a single feed: the
+        // complete ones dispatch now, the tail waits for end of stream.
+        let sink = Arc::new(Wire(Mutex::new(Vec::new())));
+        let mut session = ByteSession::new(Arc::clone(&sink));
+        let bytes = b"ADD 1 ripple 8 1 2\n\nADD 2 ripple 8 2 3\nADD 3 ripple 8 3 4";
+        assert_eq!(session.feed(bytes, &service), FeedOutcome::Continue);
+        assert_eq!(service.stats().proto_text, 2);
+        session.finish(&service);
+        assert_eq!(service.stats().proto_text, 3);
+        let mut out: Vec<String> = drain_wire(&sink, 3)
+            .into_iter()
+            .map(|l| String::from_utf8(l).expect("text reply"))
+            .collect();
+        out.sort();
+        assert_eq!(out, ["OK 1 3 0 1\n", "OK 2 5 0 1\n", "OK 3 7 0 1\n"]);
+
+        // In framed mode a partial frame has nothing to answer with.
+        let sink = Arc::new(Wire(Mutex::new(Vec::new())));
+        let mut session = ByteSession::new(Arc::clone(&sink));
+        let frame = binary::encode_add(5, 0, 64, &[7], &[8]);
+        let mut bytes = b"HELLO BIN 1\n".to_vec();
+        bytes.extend_from_slice(&frame);
+        bytes.extend_from_slice(&frame);
+        bytes.extend_from_slice(&frame[..frame.len() - 1]);
+        assert_eq!(session.feed(&bytes, &service), FeedOutcome::Continue);
+        session.finish(&service);
+        assert_eq!(service.stats().proto_bin, 2);
         service.shutdown();
     }
 

@@ -3,7 +3,7 @@
 //! scalar reference, and VLCSA cycle accounting checked against the batch
 //! outcome of the same operands.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -1035,6 +1035,36 @@ fn hello_after_the_first_line_is_just_an_unknown_command() {
     writer.write_all(b"ADD 2 ripple 8 2 3\n").unwrap();
     reader.read_line(&mut line).unwrap();
     assert_eq!(line.trim(), "OK 2 5 0 1", "still text after the late HELLO");
+    shutdown_within(server, Duration::from_secs(10));
+}
+
+#[test]
+fn final_line_without_newline_is_answered_at_eof() {
+    // End of stream completes a pending text line: a client that writes
+    // its last request without `\n` and half-closes still gets its answer,
+    // whichever front-end (reader threads or reactor) carries it.
+    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writer.write_all(b"ADD 1 ripple 8 1 2").unwrap();
+    writer.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line.trim(), "OK 1 3 0 1");
+    shutdown_within(server, Duration::from_secs(10));
+}
+
+#[test]
+fn poisoned_stream_still_answers_requests_accepted_before_it() {
+    // A line that is not UTF-8 ends the connection, but the request
+    // pipelined ahead of it was accepted and is answered before the close.
+    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(b"ADD 1 ripple 8 1 2\n\xff\n").unwrap();
+    let mut rest = String::new();
+    stream.read_to_string(&mut rest).unwrap();
+    assert_eq!(rest, "OK 1 3 0 1\n");
     shutdown_within(server, Duration::from_secs(10));
 }
 
